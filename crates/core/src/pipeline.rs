@@ -54,8 +54,9 @@ pub(crate) struct Batch {
     pub last_tid: u64,
     /// Writes to replay (combined when grouping is on; empty for aborts).
     pub writes: Vec<(u64, u64)>,
-    /// Log spans to recycle once the covering checkpoint is durable.
-    pub spans: Vec<(usize, PlogSpan)>,
+    /// `(ring, span)` of the one log record holding this batch, recycled
+    /// once the covering checkpoint is durable.
+    pub span: (usize, PlogSpan),
 }
 
 impl PartialEq for Batch {
@@ -123,7 +124,7 @@ fn try_stage_record(
         first_tid: tid,
         last_tid: tid,
         writes,
-        spans: vec![(ring_idx, span)],
+        span: (ring_idx, span),
     })
 }
 
@@ -185,11 +186,7 @@ pub(crate) fn persist_worker(
             // One ordering barrier covers the whole sweep (batched persist,
             // §3.3); its modeled cost covers all flushed bytes.
             if shared.trace.enabled() {
-                let bytes: u64 = staged
-                    .iter()
-                    .flat_map(|b| b.spans.iter())
-                    .map(|&(_, span)| span.words * 8)
-                    .sum();
+                let bytes: u64 = staged.iter().map(|b| b.span.1.words * 8).sum();
                 let t0 = dude_nvm::monotonic_ns();
                 shared.nvm.fence();
                 let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
@@ -521,7 +518,7 @@ pub(crate) fn persist_flush_worker(
                 first_tid: first,
                 last_tid: last,
                 writes: combined,
-                spans: vec![(worker, span)],
+                span: (worker, span),
             },
         );
     }
@@ -589,9 +586,9 @@ pub(crate) fn reproduce_worker(shared: Arc<Shared>, rx: Receiver<Batch>) {
             // into the frontier so stats read uniformly across modes.
             shared.frontier.note_applied(0, batch.writes.len() as u64);
             shared.frontier.publish(0, expected - 1);
-            pending_release.extend(batch.spans);
+            pending_release.push(batch.span);
             if since_checkpoint >= shared.config.checkpoint_every {
-                checkpoint(&shared, expected - 1, &mut pending_release);
+                checkpoint(&shared, expected - 1, pending_release.drain(..));
                 since_checkpoint = 0;
             }
         }
@@ -599,7 +596,7 @@ pub(crate) fn reproduce_worker(shared: Arc<Shared>, rx: Receiver<Batch>) {
         // now so the covered log spans are recycled promptly (a Persist
         // thread may be waiting for exactly that space).
         if idle && !pending_release.is_empty() {
-            checkpoint(&shared, expected - 1, &mut pending_release);
+            checkpoint(&shared, expected - 1, pending_release.drain(..));
             since_checkpoint = 0;
         }
         if disconnected {
@@ -610,7 +607,7 @@ pub(crate) fn reproduce_worker(shared: Arc<Shared>, rx: Receiver<Batch>) {
                     top.first_tid
                 );
             }
-            checkpoint(&shared, expected - 1, &mut pending_release);
+            checkpoint(&shared, expected - 1, pending_release.drain(..));
             return;
         }
     }
@@ -645,7 +642,7 @@ pub(crate) fn reproduce_router(
     let start = shared.reproduced.load(Ordering::Acquire);
     let mut expected = start + 1;
     // Spans awaiting a covering checkpoint, FIFO in dispatch (= TID) order.
-    let mut pending_release: VecDeque<(u64, Vec<(usize, PlogSpan)>)> = VecDeque::new();
+    let mut pending_release: VecDeque<(u64, (usize, PlogSpan))> = VecDeque::new();
     let mut watermark = start;
     let mut last_checkpoint = start;
     loop {
@@ -679,7 +676,7 @@ pub(crate) fn reproduce_router(
                     writes,
                 });
             }
-            pending_release.push_back((batch.last_tid, batch.spans));
+            pending_release.push_back((batch.last_tid, batch.span));
             expected = batch.last_tid + 1;
         }
         // Publish the global watermark: the slowest shard's completed TID.
@@ -693,8 +690,7 @@ pub(crate) fn reproduce_router(
             shared.reproduced.store(f, Ordering::Release);
         }
         if f - last_checkpoint >= shared.config.checkpoint_every || (idle && f > last_checkpoint) {
-            let mut spans = covered_spans(&mut pending_release, f);
-            checkpoint(&shared, f, &mut spans);
+            checkpoint(&shared, f, covered_spans(&mut pending_release, f));
             last_checkpoint = f;
         }
         if disconnected {
@@ -732,21 +728,21 @@ pub(crate) fn reproduce_router(
             .fetch_add(target - watermark, Ordering::Relaxed);
         shared.reproduced.store(target, Ordering::Release);
     }
-    let mut spans = covered_spans(&mut pending_release, target);
+    checkpoint(&shared, target, covered_spans(&mut pending_release, target));
     debug_assert!(pending_release.is_empty(), "spans beyond the last batch");
-    checkpoint(&shared, target, &mut spans);
 }
 
-/// Pops the spans whose covering TID is at or below `frontier`.
+/// Pops, lazily, the spans whose covering TID is at or below `frontier`.
 fn covered_spans(
-    pending: &mut VecDeque<(u64, Vec<(usize, PlogSpan)>)>,
+    pending: &mut VecDeque<(u64, (usize, PlogSpan))>,
     frontier: u64,
-) -> Vec<(usize, PlogSpan)> {
-    let mut spans = Vec::new();
-    while pending.front().is_some_and(|&(tid, _)| tid <= frontier) {
-        spans.extend(pending.pop_front().expect("peeked entry").1);
-    }
-    spans
+) -> impl Iterator<Item = (usize, PlogSpan)> + '_ {
+    std::iter::from_fn(move || {
+        pending
+            .front()
+            .is_some_and(|&(tid, _)| tid <= frontier)
+            .then(|| pending.pop_front().expect("peeked entry").1)
+    })
 }
 
 /// A Reproduce shard worker: applies its shard's slice of each batch to
@@ -819,8 +815,9 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
     }
 }
 
-/// Durably records `reproduced` in the metadata region, then recycles the
-/// covered log spans.
+/// Durably records `reproduced` in the metadata region, recycles the
+/// covered log spans, and only then publishes `reproduced` to the volatile
+/// checkpoint mirror [`DudeTm::quiesce`](crate::DudeTm::quiesce) waits on.
 ///
 /// Ordering audit (the span-release-vs-durability question): the release
 /// loop runs strictly after the fence returns, and `reproduced` is only
@@ -832,19 +829,18 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
 /// replayed released-but-not-yet-overwritten records *below* the
 /// checkpoint, regressing the heap (see `recovery.rs`; regression test
 /// `stale_released_record_below_checkpoint_is_not_replayed`).
-fn checkpoint(shared: &Shared, reproduced: u64, pending_release: &mut Vec<(usize, PlogSpan)>) {
+fn checkpoint(shared: &Shared, reproduced: u64, covered: impl Iterator<Item = (usize, PlogSpan)>) {
     let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
     shared.nvm.write_word(off, reproduced);
     shared.nvm.flush(off, 8);
     shared.nvm.fence();
     shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-    let released: u64 = pending_release
-        .iter()
-        .map(|&(_, span)| span.words * 8)
-        .sum();
-    for (ring_idx, span) in pending_release.drain(..) {
+    let mut released = 0u64;
+    for (ring_idx, span) in covered {
+        released += span.words * 8;
         shared.rings[ring_idx].release(span);
     }
+    shared.checkpointed.store(reproduced, Ordering::Release);
     // `bytes` here is the log space the checkpoint recycled — the payoff
     // side of the checkpoint cadence trade-off.
     shared.trace.event(

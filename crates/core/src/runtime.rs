@@ -74,6 +74,23 @@ impl NvmLayout {
     }
 }
 
+/// Capacity of the Persist→Reproduce `Batch` channel when no volatile
+/// buffer bound exists to derive it from (`Sync`, `AsyncUnbounded`):
+/// twice the 16 K-record buffer the benchmarks run with.
+const UNBUFFERED_BATCH_CAP: usize = 32_768;
+
+/// Capacity of the Persist→Reproduce `Batch` channel: twice one Perform
+/// thread's volatile buffer in `Async` mode. The bound keeps a fast
+/// Persist stage from queueing an unbounded backlog (and its memory) in
+/// front of Reproduce; it cannot deadlock, since Reproduce never waits on
+/// Persist and always drains its input into its reorder heap.
+fn batch_channel_cap(durability: DurabilityMode) -> usize {
+    match durability {
+        DurabilityMode::Async { buffer_txns } => buffer_txns.saturating_mul(2),
+        DurabilityMode::Sync | DurabilityMode::AsyncUnbounded => UNBUFFERED_BATCH_CAP,
+    }
+}
+
 /// State shared between the API threads and the pipeline workers.
 #[derive(Debug)]
 pub struct Shared {
@@ -84,6 +101,9 @@ pub struct Shared {
     pub(crate) rings: Vec<Arc<PlogRing>>,
     pub(crate) tracker: SequenceTracker,
     pub(crate) reproduced: Arc<AtomicU64>,
+    /// Volatile mirror of the durable reproduced-ID checkpoint, stored
+    /// after the checkpoint has recycled the log spans it covers.
+    pub(crate) checkpointed: AtomicU64,
     pub(crate) frontier: Arc<ReproduceFrontier>,
     pub(crate) stats: PipelineStats,
     pub(crate) trace: Trace,
@@ -157,7 +177,7 @@ impl RedoHooks {
             first_tid: tid,
             last_tid: tid,
             writes,
-            spans: vec![(*ring_idx, span)],
+            span: (*ring_idx, span),
         });
     }
 }
@@ -338,6 +358,7 @@ impl<E: TmEngine> DudeTm<E> {
             rings,
             tracker: SequenceTracker::starting_at(start_tid),
             reproduced: Arc::clone(&reproduced),
+            checkpointed: AtomicU64::new(start_tid),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
             stats,
             trace,
@@ -353,7 +374,7 @@ impl<E: TmEngine> DudeTm<E> {
         ));
         shadow.populate_from_nvm(&nvm, layout.heap);
 
-        let (batch_tx, batch_rx) = unbounded::<Batch>();
+        let (batch_tx, batch_rx) = bounded::<Batch>(batch_channel_cap(config.durability));
         let mut workers = Vec::new();
         let mut record_senders = Vec::new();
 
@@ -593,12 +614,16 @@ impl<E: TmEngine> DudeTm<E> {
         *self.history.lock() = Some(history);
     }
 
-    /// Blocks until every transaction committed so far is both durable and
-    /// reproduced. Call only when no transactions are concurrently
+    /// Blocks until every transaction committed so far is durable,
+    /// reproduced, and covered by a checkpoint — so the log spans of those
+    /// transactions are recycled and the pipeline's state no longer
+    /// depends on timing. Call only when no transactions are concurrently
     /// committing.
     pub fn quiesce(&self) {
         let target = self.engine.clock_now();
-        while self.durable_id() < target || self.reproduced_id() < target {
+        while self.durable_id() < target
+            || self.shared.checkpointed.load(Ordering::Acquire) < target
+        {
             dude_nvm::thread::yield_now();
         }
     }

@@ -1,5 +1,5 @@
 //! The metrics export surfaces: Prometheus text exposition (golden names
-//! + validator), the blocking scrape endpoint, and the JSONL frame
+//! and validator), the blocking scrape endpoint, and the JSONL frame
 //! stream's round-trip law. This is the test target the CI
 //! `metrics-smoke` job runs.
 

@@ -235,6 +235,51 @@ fn tiny_buffer_counts_perform_log_full_stalls() {
     panic!("a 1-txn buffer never observably blocked Perform in 3 runs");
 }
 
+/// Two traced Perform threads over 4-record buffers: Perform keeps
+/// blocking on a full buffer until Persist drains it to the low watermark,
+/// and every such wait must end — the run completes, `quiesce()` returns,
+/// and the stall is counted. A watchdog turns a lost wakeup into a failure
+/// instead of a hang.
+#[test]
+fn two_threads_on_small_buffers_stall_and_quiesce() {
+    const PER_THREAD: u64 = 2_000;
+    let run = || {
+        let nvm = test_nvm(8 << 20);
+        let mut cfg = config(TraceConfig::enabled(4096));
+        cfg.durability = DurabilityMode::Async { buffer_txns: 4 };
+        let dude = DudeTm::create_stm(nvm, cfg);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let dude = &dude;
+                s.spawn(move || {
+                    let mut th = dude.register_thread();
+                    for i in 0..PER_THREAD {
+                        let addr = PAddr::from_word_index(t * 256 + i % 256);
+                        th.run(&mut |tx| tx.write_word(addr, i)).expect_committed();
+                    }
+                });
+            }
+        });
+        dude.quiesce();
+        let snap = dude.stats_snapshot();
+        assert_eq!(snap.counters.commits, 2 * PER_THREAD);
+        assert_eq!(snap.counters.txns_reproduced, 2 * PER_THREAD);
+        assert_eq!(snap.ring_used_words, vec![0; 4]);
+        snap.stalls.perform_log_full
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // A fast enough Persist thread can keep 4-record buffers from ever
+        // filling; allow a bounded number of stall-free runs.
+        let stalled = (0..3).any(|_| run() > 0);
+        let _ = done_tx.send(stalled);
+    });
+    let stalled = done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("pipeline hung: a blocked Perform thread was never woken");
+    assert!(stalled, "4-record buffers never blocked Perform in 3 runs");
+}
+
 /// Sim twin: under the virtual scheduler the schedule is a function of
 /// the seed, so the stall either deterministically happens or the seed is
 /// wrong — no retries, no tolerance.

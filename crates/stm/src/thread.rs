@@ -133,43 +133,29 @@ impl<'s> StmThread<'s> {
     {
         let mut retries = 0u32;
         loop {
+            // If `body` panics, dropping `tx` rolls the attempt back.
             let mut tx = StmTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-            match body(&mut tx) {
+            let reason = match body(&mut tx) {
                 Ok(value) => {
                     let read_only = !tx.is_update();
                     match tx.commit() {
                         Ok(tid) => {
-                            hooks.on_commit(tid);
                             self.count_commit(read_only);
                             return TxnOutcome::Committed {
                                 value,
                                 info: CommitInfo { tid, retries },
                             };
                         }
-                        Err(_) => {
-                            let wasted = tx.take_wasted();
-                            tx.rollback();
-                            hooks.on_abort(wasted);
-                            self.count_conflict(wasted.is_some());
-                            retries += 1;
-                            self.backoff(retries);
-                        }
+                        Err(reason) => reason,
                     }
                 }
-                Err(TxAbort::User) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
-                    return TxnOutcome::Aborted;
-                }
-                Err(TxAbort::Conflict) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.count_conflict(false);
-                    retries += 1;
-                    self.backoff(retries);
-                }
+                Err(reason) => reason,
+            };
+            if self.finish_abort(tx.abort(), reason) {
+                return TxnOutcome::Aborted;
             }
+            retries += 1;
+            self.backoff(retries);
         }
     }
 
@@ -191,43 +177,45 @@ impl<'s> StmThread<'s> {
     {
         let mut retries = 0u32;
         loop {
+            // If `body` or `pre_publish` panics, dropping `tx` rolls the
+            // attempt back.
             let mut tx =
                 WriteBackTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-            match body(&mut tx) {
+            let reason = match body(&mut tx) {
                 Ok(value) => {
                     let read_only = !tx.is_update();
                     match tx.commit_with(&mut pre_publish) {
                         Ok(tid) => {
-                            hooks.on_commit(tid);
                             self.count_commit(read_only);
                             return TxnOutcome::Committed {
                                 value,
                                 info: CommitInfo { tid, retries },
                             };
                         }
-                        Err(_) => {
-                            let wasted = tx.take_wasted();
-                            tx.rollback();
-                            hooks.on_abort(wasted);
-                            self.count_conflict(wasted.is_some());
-                            retries += 1;
-                            self.backoff(retries);
-                        }
+                        Err(reason) => reason,
                     }
                 }
-                Err(TxAbort::User) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
-                    return TxnOutcome::Aborted;
-                }
-                Err(TxAbort::Conflict) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.count_conflict(false);
-                    retries += 1;
-                    self.backoff(retries);
-                }
+                Err(reason) => reason,
+            };
+            if self.finish_abort(tx.abort(), reason) {
+                return TxnOutcome::Aborted;
+            }
+            retries += 1;
+            self.backoff(retries);
+        }
+    }
+
+    /// Counts an aborted attempt; `true` if it was a user abort, which ends
+    /// the transaction instead of retrying it.
+    fn finish_abort(&self, wasted: Option<TxId>, reason: TxAbort) -> bool {
+        match reason {
+            TxAbort::User => {
+                self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            TxAbort::Conflict => {
+                self.count_conflict(wasted.is_some());
+                false
             }
         }
     }
@@ -412,6 +400,87 @@ mod tests {
         });
         assert_eq!(out, TxnOutcome::Aborted);
         assert_eq!(rec.aborts, 1);
+    }
+
+    /// Records the abort reports a panicking attempt must still produce.
+    #[derive(Default)]
+    struct AbortRec {
+        staged: Vec<(u64, u64)>,
+        aborts: Vec<Option<TxId>>,
+    }
+
+    impl TxHooks for AbortRec {
+        fn on_write(&mut self, addr: u64, val: u64) {
+            self.staged.push((addr, val));
+        }
+        fn on_abort(&mut self, wasted: Option<TxId>) {
+            self.staged.clear();
+            self.aborts.push(wasted);
+        }
+    }
+
+    /// After a transaction panicked on one thread, a peer thread commits a
+    /// write to the same word within a time bound (no stripe left locked).
+    fn peer_commits_promptly(stm: &Arc<Stm>, mem: &Arc<VecMemory>, write_back: bool) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (stm, mem) = (Arc::clone(stm), Arc::clone(mem));
+        std::thread::spawn(move || {
+            let mut peer = stm.register();
+            let outcome = if write_back {
+                peer.run_wb(&*mem, &mut NoHooks, |_, _| {}, |tx| tx.write(0, 7))
+            } else {
+                peer.run(&*mem, &mut NoHooks, |tx| tx.write(0, 7))
+            };
+            let _ = done_tx.send(outcome.is_committed());
+        });
+        let committed = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("peer still blocked on the panicked transaction's lock");
+        assert!(committed);
+    }
+
+    #[test]
+    fn panicking_write_through_body_releases_locks_and_rolls_back() {
+        let stm = Arc::new(Stm::new(StmConfig::tiny()));
+        let mem = Arc::new(VecMemory::new(64));
+        mem.store(0, 5);
+        let mut rec = AbortRec::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut t = stm.register();
+            t.run(&*mem, &mut rec, |tx| -> TxResult<()> {
+                tx.write(0, 6)?;
+                panic!("body fails mid-transaction")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(mem.load(0), 5, "in-place write must be rolled back");
+        assert!(rec.staged.is_empty(), "hooks must discard staged writes");
+        assert_eq!(rec.aborts, vec![None]);
+        peer_commits_promptly(&stm, &mem, false);
+        assert_eq!(mem.load(0), 7);
+    }
+
+    #[test]
+    fn panicking_write_back_pre_publish_releases_locks() {
+        let stm = Arc::new(Stm::new(StmConfig::tiny()));
+        let mem = Arc::new(VecMemory::new(64));
+        let mut rec = AbortRec::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut t = stm.register();
+            t.run_wb(
+                &*mem,
+                &mut rec,
+                // Runs with every written stripe locked.
+                |_, _| panic!("log write fails at commit"),
+                |tx| tx.write(0, 6),
+            )
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(mem.load(0), 0, "buffered write must not be published");
+        assert!(rec.staged.is_empty(), "hooks must discard staged writes");
+        assert_eq!(rec.aborts, vec![None]);
+        peer_commits_promptly(&stm, &mem, true);
+        assert_eq!(mem.load(0), 7);
     }
 
     #[test]

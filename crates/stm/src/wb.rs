@@ -51,6 +51,9 @@ pub struct WriteBackTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
     write_index: HashMap<u64, usize>,
     locked: Vec<LockedStripe>,
     wasted: Option<TxId>,
+    /// Set once the attempt committed or aborted through the hooks; an
+    /// attempt dropped unfinished (a panic) is aborted on drop.
+    finished: bool,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
@@ -74,6 +77,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
             write_index: HashMap::new(),
             locked: Vec::new(),
             wasted: None,
+            finished: false,
         }
     }
 
@@ -184,12 +188,24 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
 
     /// Commits, invoking `pre_publish(write_set, tid)` after the commit is
     /// certain but before buffered values are stored — where a redo-logging
-    /// durable system persists its log.
+    /// durable system persists its log — then reports the commit to the
+    /// hooks (`on_commit`).
     ///
     /// # Errors
     ///
-    /// [`TxAbort::Conflict`] if stripe locking or validation fails.
+    /// [`TxAbort::Conflict`] if stripe locking or validation fails; the
+    /// caller must then [`WriteBackTx::abort`].
     pub(crate) fn commit_with(
+        &mut self,
+        pre_publish: impl FnOnce(&[(u64, u64)], TxId),
+    ) -> Result<Option<TxId>, TxAbort> {
+        let tid = self.publish(pre_publish)?;
+        self.finished = true;
+        self.hooks.on_commit(tid);
+        Ok(tid)
+    }
+
+    fn publish(
         &mut self,
         pre_publish: impl FnOnce(&[(u64, u64)], TxId),
     ) -> Result<Option<TxId>, TxAbort> {
@@ -230,14 +246,32 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
         Ok(Some(wv))
     }
 
+    /// Rolls back, releases stripes, and reports the abort to the hooks
+    /// (`on_abort`) with the commit timestamp a failed commit wasted, which
+    /// it also returns.
+    pub(crate) fn abort(&mut self) -> Option<TxId> {
+        let wasted = self.wasted.take();
+        self.rollback();
+        self.finished = true;
+        self.hooks.on_abort(wasted);
+        wasted
+    }
+
     pub(crate) fn rollback(&mut self) {
         self.release_locks(|ls| ls.prev);
         self.writes.clear();
         self.write_index.clear();
     }
+}
 
-    pub(crate) fn take_wasted(&mut self) -> Option<TxId> {
-        self.wasted.take()
+impl<M: WordMemory + ?Sized, H: TxHooks> Drop for WriteBackTx<'_, M, H> {
+    /// An attempt dropped before it committed or aborted — its body or
+    /// `pre_publish` panicked — must not leave stripes locked: roll back
+    /// and report the abort so the hooks discard what they staged.
+    fn drop(&mut self) {
+        if !self.finished {
+            self.abort();
+        }
     }
 }
 
@@ -350,6 +384,7 @@ mod tests {
         let mut t2 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 2);
         assert_eq!(t2.read(0), Err(TxAbort::Conflict));
         t2.rollback();
+        drop(t2);
         let mut t3 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 3);
         t3.write(0, 4).unwrap();
         assert_eq!(t3.commit_with(|_, _| {}), Err(TxAbort::Conflict));

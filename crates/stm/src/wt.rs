@@ -47,6 +47,9 @@ pub struct StmTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
     undo: Vec<(u64, u64)>,
     /// Commit timestamp consumed by a failed commit, if any.
     wasted: Option<TxId>,
+    /// Set once the attempt committed or aborted through the hooks; an
+    /// attempt dropped unfinished (its body panicked) is aborted on drop.
+    finished: bool,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
@@ -69,6 +72,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
             locked: Vec::new(),
             undo: Vec::new(),
             wasted: None,
+            finished: false,
         }
     }
 
@@ -197,9 +201,17 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
         Ok(())
     }
 
-    /// Commits the transaction. Returns the commit timestamp (`None` for
-    /// read-only transactions).
+    /// Commits the transaction and reports it to the hooks
+    /// (`on_commit`). Returns the commit timestamp (`None` for read-only
+    /// transactions). On failure the caller must [`StmTx::abort`].
     pub(crate) fn commit(&mut self) -> Result<Option<TxId>, TxAbort> {
+        let tid = self.publish()?;
+        self.finished = true;
+        self.hooks.on_commit(tid);
+        Ok(tid)
+    }
+
+    fn publish(&mut self) -> Result<Option<TxId>, TxAbort> {
         if self.locked.is_empty() {
             // Read-only: every read was validated against `rv` at read time.
             return Ok(None);
@@ -223,6 +235,17 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
         Ok(Some(wv))
     }
 
+    /// Rolls back, releases stripes, and reports the abort to the hooks
+    /// (`on_abort`) with the commit timestamp a failed commit wasted, which
+    /// it also returns.
+    pub(crate) fn abort(&mut self) -> Option<TxId> {
+        let wasted = self.wasted.take();
+        self.rollback();
+        self.finished = true;
+        self.hooks.on_abort(wasted);
+        wasted
+    }
+
     /// Rolls back in-place writes (reverse order) and releases stripes.
     pub(crate) fn rollback(&mut self) {
         for (addr, old) in self.undo.drain(..).rev() {
@@ -234,9 +257,17 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
                 .store(ls.prev, std::sync::atomic::Ordering::Release);
         }
     }
+}
 
-    pub(crate) fn take_wasted(&mut self) -> Option<TxId> {
-        self.wasted.take()
+impl<M: WordMemory + ?Sized, H: TxHooks> Drop for StmTx<'_, M, H> {
+    /// An attempt dropped before it committed or aborted — its body
+    /// panicked — must not leave stripes locked (peers would spin on them
+    /// forever) or in-place writes visible: roll back and report the abort
+    /// so the hooks discard what they staged.
+    fn drop(&mut self) {
+        if !self.finished {
+            self.abort();
+        }
     }
 }
 
@@ -391,9 +422,7 @@ mod tests {
         t2.write(addr_a, 9).unwrap();
         t2.commit().unwrap();
         assert!(t1.commit().is_err());
-        let wasted = t1.take_wasted();
-        assert_eq!(wasted, Some(2));
-        t1.rollback();
+        assert_eq!(t1.abort(), Some(2));
         assert_eq!(f.mem.load(addr_b), 0);
     }
 
