@@ -143,6 +143,9 @@ pub(crate) fn persist_worker(
     let mut parked: Vec<Option<LogRecord>> = (0..inputs.len()).map(|_| None).collect();
     let mut staged: Vec<Batch> = Vec::new();
     loop {
+        if shared.abandoned() {
+            return;
+        }
         let mut progress = false;
         for (i, (ring_idx, rx)) in inputs.iter().enumerate() {
             if let Some(rec) = parked[i].take() {
@@ -202,8 +205,14 @@ pub(crate) fn persist_worker(
             } else {
                 shared.nvm.fence();
             }
-            for batch in staged.drain(..) {
+            // Publish the whole sweep's durability before handing any batch
+            // on: a send can wake a parked Reproduce that then preempts this
+            // thread, and marking between sends would hold the rest of the
+            // sweep's acknowledgements behind Reproduce's work.
+            for batch in &staged {
                 shared.tracker.mark(batch.first_tid);
+            }
+            for batch in staged.drain(..) {
                 // Reproduce may have exited during shutdown teardown; the
                 // records are persisted regardless.
                 let _ = out.send(batch);
@@ -333,6 +342,9 @@ pub(crate) fn persist_sequencer(
     };
 
     loop {
+        if shared.abandoned() {
+            return;
+        }
         let mut progress = false;
         for (i, (_ring_idx, rx)) in inputs.iter().enumerate() {
             if done[i] {
@@ -438,6 +450,9 @@ pub(crate) fn persist_flush_worker(
     let mut buf = Vec::new();
     let ring = &shared.rings[worker];
     while let Ok(work) = rx.recv() {
+        if shared.abandoned() {
+            return;
+        }
         let first = work.records.first().expect("non-empty group").tid();
         let last = work.records.last().expect("non-empty group").tid();
         let before: usize = work.records.iter().map(|r| r.writes().len()).sum();
@@ -450,6 +465,9 @@ pub(crate) fn persist_flush_worker(
         let span = loop {
             if let Some(span) = ring.try_append_unfenced(&buf) {
                 break span;
+            }
+            if shared.abandoned() {
+                return;
             }
             if tracing {
                 shared
@@ -554,15 +572,16 @@ pub(crate) fn reproduce_worker(shared: Arc<Shared>, rx: Receiver<Batch>) {
             }
             Err(RecvTimeoutError::Disconnected) => true,
         };
+        // Checked after the receive: a stage that exits on abandonment
+        // disconnects this channel only after the flag is set.
+        if shared.abandoned() {
+            return;
+        }
         while heap.peek().is_some_and(|b| b.first_tid == expected) {
             let batch = heap.pop().expect("peeked batch");
             let tracing = shared.trace.enabled();
             let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-            for &(addr, val) in &batch.writes {
-                let off = shared.heap.start() + addr;
-                shared.nvm.write_word(off, val);
-                shared.nvm.flush(off, 8);
-            }
+            shared.nvm.apply_writes(shared.heap.start(), &batch.writes);
             if tracing {
                 let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
                 shared.trace.replay_apply_ns[0].record(dur);
@@ -665,6 +684,9 @@ pub(crate) fn reproduce_router(
             }
             Err(RecvTimeoutError::Disconnected) => true,
         };
+        if shared.abandoned() {
+            return;
+        }
         while heap.peek().is_some_and(|b| b.first_tid == expected) {
             let batch = heap.pop().expect("peeked batch");
             for (s, writes) in split_writes(&batch.writes, shards).into_iter().enumerate() {
@@ -762,6 +784,9 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
             Ok(w) => run.push(w),
             Err(_) => return,
         }
+        if shared.abandoned() {
+            return;
+        }
         // Batch whatever else is already queued so one fence covers the
         // whole run (bounded: the frontier should not stall on a hot shard).
         while run.len() < 128 {
@@ -774,12 +799,8 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
         let tracing = shared.trace.enabled();
         let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
         for work in &run {
-            for &(addr, val) in &work.writes {
-                let off = shared.heap.start() + addr;
-                shared.nvm.write_word(off, val);
-                shared.nvm.flush(off, 8);
-                words += 1;
-            }
+            shared.nvm.apply_writes(shared.heap.start(), &work.writes);
+            words += work.writes.len() as u64;
         }
         if words > 0 {
             // Nothing flushed ⇒ no fence: an all-empty run (aborts, or no

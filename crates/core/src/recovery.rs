@@ -229,11 +229,7 @@ pub fn recover_device_observed(
                 .fetch_add(dropped, Ordering::Relaxed);
         } else {
             for rec in &run {
-                for &(addr, val) in &rec.writes {
-                    let off = layout.heap.start() + addr;
-                    nvm.write_word(off, val);
-                    nvm.flush(off, 8);
-                }
+                nvm.apply_writes(layout.heap.start(), &rec.writes);
                 telemetry
                     .bytes_replayed
                     .fetch_add(8 * rec.writes.len() as u64, Ordering::Relaxed);

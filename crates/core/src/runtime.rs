@@ -1,7 +1,7 @@
 //! The DudeTM runtime: layout, registration, the `dtm*` API, and pipeline
 //! wiring.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -109,6 +109,17 @@ pub struct Shared {
     pub(crate) trace: Trace,
     pub(crate) metrics: Arc<MetricsRegistry>,
     pub(crate) gauges: PipelineGauges,
+    /// Set by [`DudeTm::abandon`]: every background stage returns at its
+    /// next step, without draining or checkpointing.
+    pub(crate) abandoned: AtomicBool,
+}
+
+impl Shared {
+    /// Whether the runtime was abandoned at a simulated crash point.
+    #[inline]
+    pub(crate) fn abandoned(&self) -> bool {
+        self.abandoned.load(Ordering::Acquire)
+    }
 }
 
 /// Where a thread's committed redo logs go.
@@ -364,6 +375,7 @@ impl<E: TmEngine> DudeTm<E> {
             trace,
             metrics,
             gauges,
+            abandoned: AtomicBool::new(false),
         });
         let shadow = Arc::new(ShadowMem::new(
             config.shadow,
@@ -635,6 +647,21 @@ impl<E: TmEngine> DudeTm<E> {
     /// [`DtmThread`]s must be dropped first (enforced by the borrow
     /// checker, since they borrow the runtime).
     pub fn shutdown(&mut self) {
+        self.halt();
+    }
+
+    /// Stops the runtime where it stands, as a power failure would: each
+    /// background stage returns at its next step without draining queued
+    /// records or taking a final checkpoint, and once this returns no
+    /// thread of the runtime touches the device again. Crash tests call it
+    /// right before [`Nvm::crash`] and then recover from the device; a
+    /// plain drop would instead drain the pipeline, and a leaked runtime
+    /// would keep writing while recovery runs.
+    ///
+    /// All [`DtmThread`]s must be dropped first (enforced by the borrow
+    /// checker, since they borrow the runtime).
+    pub fn abandon(mut self) {
+        self.shared.abandoned.store(true, Ordering::Release);
         self.halt();
     }
 

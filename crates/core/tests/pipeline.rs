@@ -127,6 +127,39 @@ fn concurrent_transfers_conserve_money_end_to_end() {
     assert_eq!(total, ACCOUNTS * 100, "NVM image must conserve total");
 }
 
+/// `abandon` is the crash point: once it returns, no Persist, flush
+/// worker, sequencer, Reproduce router or shard worker writes the device
+/// again — whatever work was still queued stays unapplied.
+#[test]
+fn abandoned_runtime_never_writes_after_the_crash_point() {
+    let configs = [
+        small_config(),
+        small_config().with_grouping(8, false).with_flush_workers(2),
+        small_config().with_reproduce_threads(2),
+    ];
+    for config in configs {
+        let nvm = test_nvm(8 << 20);
+        let dude = DudeTm::create_stm(Arc::clone(&nvm), config);
+        let mut t = dude.register_thread();
+        for i in 0..2_000u64 {
+            t.run(&mut |tx| {
+                tx.write_word(slot(i % 512), i)?;
+                tx.write_word(slot(512 + i % 64), i)
+            })
+            .expect_committed();
+        }
+        drop(t);
+        dude.abandon();
+        let at_crash = nvm.stats();
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert_eq!(nvm.stats(), at_crash, "device written after abandon");
+        nvm.crash();
+        let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
+        assert!(report.last_tid <= 2_000);
+        drop(dude2);
+    }
+}
+
 #[test]
 fn crash_before_persist_loses_nothing_acknowledged() {
     let nvm = test_nvm(8 << 20);
@@ -143,14 +176,10 @@ fn crash_before_persist_loses_nothing_acknowledged() {
         }
         drop(t);
         // Crash with the pipeline mid-flight (no quiesce, no clean drop):
-        // simulate by crashing the device *now*.
+        // stop the runtime where it stands, then crash the device. Recovery
+        // runs in place, so no runtime thread may write after the crash.
+        dude.abandon();
         nvm.crash();
-        // Tear down the runtime afterwards; its final checkpoint writes are
-        // post-crash and harmless for this test's purposes — recovery below
-        // uses a fresh copy of the device state? No: we recover in-place,
-        // so drop must not be allowed to keep flushing. We therefore leak
-        // the runtime instead of dropping it.
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     assert!(report.last_tid >= 50, "all acknowledged txns recovered");
@@ -180,8 +209,8 @@ fn recovery_discards_unpersisted_tail_consistently() {
             .expect_committed();
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, _) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     let heap = dude2.heap_region();
@@ -248,8 +277,8 @@ fn sync_mode_survives_immediate_crash() {
         t.run(&mut |tx| tx.write_word(slot(7), 77))
             .expect_committed();
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     assert_eq!(report.last_tid, 1);
@@ -316,8 +345,8 @@ fn grouped_and_compressed_survives_crash() {
             t.wait_durable(tid);
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     assert_eq!(report.last_tid, 64);
@@ -396,8 +425,8 @@ fn htm_crash_recovery() {
             t.wait_durable(tid);
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_htm(Arc::clone(&nvm), config).unwrap();
     assert_eq!(report.last_tid, 20);

@@ -289,8 +289,8 @@ fn recovery_wipes_stale_log_records() {
             t.wait_durable(tid);
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (layout, first) = recover_device(&nvm, &config).expect("first recovery");
     assert_eq!(first.last_tid, 20);

@@ -437,10 +437,17 @@ impl Nvm {
     /// Panics if `offset` is unaligned or out of bounds.
     #[inline]
     pub fn write_word(&self, offset: u64, val: u64) {
+        self.store_word(offset, val);
+        self.stats.add_words(1);
+    }
+
+    /// One word store: bounds check, crash-plan event, store, dirty
+    /// tracking. The public callers bump `words_written` once per call.
+    #[inline]
+    fn store_word(&self, offset: u64, val: u64) {
         let idx = self.word_index(offset);
         self.note_event(CrashEventKind::Write);
         self.words[idx as usize].store(val, Ordering::Relaxed);
-        self.stats.add_words(1);
         if let Some(cs) = &self.crash_state {
             cs.dirty.lock().insert(idx);
         }
@@ -456,8 +463,46 @@ impl Nvm {
     /// Writes `vals` as consecutive words starting at byte `offset`.
     pub fn write_words(&self, offset: u64, vals: &[u64]) {
         for (i, v) in vals.iter().enumerate() {
-            self.write_word(offset + 8 * i as u64, *v);
+            self.store_word(offset + 8 * i as u64, *v);
         }
+        self.stats.add_words(vals.len() as u64);
+    }
+
+    /// Writes every `(addr, val)` pair at byte offset `base + addr`, in
+    /// order, then flushes each distinct cache line those stores touched
+    /// exactly once — Reproduce's apply step. The result is the same as
+    /// `write_word` + `flush(off, 8)` per pair, except that a line written
+    /// several times is flushed, worn and charged to the next fence once.
+    ///
+    /// Every store and every line flush is still its own persistence event
+    /// (so a [`CrashPlan`] can trip inside the batch); the statistics and
+    /// the unfenced-byte tally are updated once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any offset is unaligned or out of bounds.
+    pub fn apply_writes(&self, base: u64, writes: &[(u64, u64)]) {
+        if writes.is_empty() {
+            return;
+        }
+        let mut lines: Vec<u64> = Vec::with_capacity(writes.len());
+        for &(addr, val) in writes {
+            let off = base + addr;
+            self.store_word(off, val);
+            let line = off / CACHE_LINE;
+            if lines.last() != Some(&line) {
+                lines.push(line);
+            }
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        for &line in &lines {
+            self.flush_lines(line, line);
+        }
+        let bytes = lines.len() as u64 * CACHE_LINE;
+        self.stats.add_words(writes.len() as u64);
+        self.stats.add_flush(bytes);
+        self.unfenced_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Flushes the cache lines covering `[offset, offset + len)` toward the
@@ -466,12 +511,19 @@ impl Nvm {
         if len == 0 {
             return;
         }
-        self.note_event(CrashEventKind::Flush);
         let first_line = offset / CACHE_LINE;
         let last_line = (offset + len - 1) / CACHE_LINE;
+        self.flush_lines(first_line, last_line);
         let bytes = (last_line - first_line + 1) * CACHE_LINE;
         self.stats.add_flush(bytes);
         self.unfenced_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// One flush event over lines `first_line..=last_line`: crash-plan
+    /// event, wear, dirty → pending. The public callers account the
+    /// flushed bytes once per call.
+    fn flush_lines(&self, first_line: u64, last_line: u64) {
+        self.note_event(CrashEventKind::Flush);
         if let Some(wear) = &self.wear {
             for line in first_line..=last_line {
                 wear[line as usize].fetch_add(1, Ordering::Relaxed);
@@ -522,7 +574,8 @@ impl Nvm {
     /// that keep using the device *after* `crash` returns (including
     /// durability acknowledgements) belong to a timeline the hardware would
     /// never produce — crash-consistency tests should quiesce mutators
-    /// before crashing, or ignore post-crash observations.
+    /// before crashing (a DudeTM runtime stops with `DudeTm::abandon`), or
+    /// ignore post-crash observations.
     ///
     /// # Panics
     ///
@@ -1057,6 +1110,122 @@ mod tests {
     fn crash_plan_requires_tracking() {
         let n = Nvm::new(NvmConfig::for_benchmark(4096, TimingConfig::disabled()));
         n.arm_crash_plan(CrashPlan::at_nth(CrashEventKind::Fence, 1));
+    }
+
+    /// A Reproduce-shaped write set: repeated addresses (0, 8), several
+    /// words on one line, and two further lines. At base 64 the offsets
+    /// cover lines 1, 2 and 4.
+    const BATCH: [(u64, u64); 7] = [(0, 1), (8, 2), (0, 3), (56, 4), (64, 5), (200, 6), (8, 7)];
+    const BATCH_BASE: u64 = 64;
+    const BATCH_LINES: u64 = 3;
+
+    /// The per-word sequence [`Nvm::apply_writes`] replaces.
+    fn apply_per_word(n: &Nvm, base: u64, writes: &[(u64, u64)]) {
+        for &(addr, val) in writes {
+            n.write_word(base + addr, val);
+            n.flush(base + addr, 8);
+        }
+    }
+
+    fn image(n: &Nvm) -> Vec<u64> {
+        let mut out = vec![0u64; (n.size_bytes() / 8) as usize];
+        n.read_words(0, &mut out);
+        out
+    }
+
+    #[test]
+    fn apply_writes_matches_per_word_sequence() {
+        let batched = Nvm::new(NvmConfig::for_testing(4096).with_wear_tracking());
+        let per_word = Nvm::new(NvmConfig::for_testing(4096).with_wear_tracking());
+        batched.apply_writes(BATCH_BASE, &BATCH);
+        apply_per_word(&per_word, BATCH_BASE, &BATCH);
+        assert_eq!(image(&batched), image(&per_word));
+        let (b, p) = (batched.stats(), per_word.stats());
+        assert_eq!(b.words_written, p.words_written);
+        assert_eq!(b.words_written, BATCH.len() as u64);
+        // One flush per distinct line, not one per word.
+        assert_eq!(b.bytes_flushed, 64 * BATCH_LINES);
+        assert_eq!(p.bytes_flushed, 64 * BATCH.len() as u64);
+        // The same lines wear; the batch wears each of them once.
+        let (bw, pw) = (
+            batched.wear_summary().unwrap(),
+            per_word.wear_summary().unwrap(),
+        );
+        assert_eq!(bw.lines_touched, pw.lines_touched);
+        assert_eq!(bw.lines_touched, BATCH_LINES);
+        assert_eq!(bw.total_line_writes, BATCH_LINES);
+        assert_eq!(bw.max_line_writes, 1);
+        let be = batched.persistence_events();
+        assert_eq!((be.writes, be.flushes), (BATCH.len() as u64, BATCH_LINES));
+        // Both leave every written word flushed: one fence makes the same
+        // image durable.
+        batched.fence();
+        per_word.fence();
+        batched.crash();
+        per_word.crash();
+        assert_eq!(image(&batched), image(&per_word));
+        assert_eq!(batched.read_word(BATCH_BASE), 3);
+        assert_eq!(batched.read_word(BATCH_BASE + 8), 7);
+    }
+
+    #[test]
+    fn apply_writes_charges_the_next_fence_per_distinct_line() {
+        let n = dev();
+        n.apply_writes(BATCH_BASE, &BATCH);
+        n.fence();
+        assert_eq!(n.stats().bytes_persisted, 64 * BATCH_LINES);
+        n.apply_writes(BATCH_BASE, &[]);
+        assert_eq!(n.stats().bytes_flushed, 64 * BATCH_LINES);
+    }
+
+    #[test]
+    fn crash_plan_trips_inside_a_batch() {
+        for (kind, nth) in [(CrashEventKind::Write, 4), (CrashEventKind::Flush, 2)] {
+            let n = dev();
+            n.write_word(BATCH_BASE, 9);
+            n.persist(BATCH_BASE, 8);
+            n.arm_crash_plan(CrashPlan::at_nth(kind, nth));
+            n.apply_writes(BATCH_BASE, &BATCH);
+            assert!(n.crash_plan_tripped(), "{kind:?} #{nth} inside the batch");
+            assert!(n.apply_planned_crash());
+            // Nothing of the batch was fenced: the earlier durable value
+            // comes back and the rest of the batch is gone.
+            assert_eq!(n.read_word(BATCH_BASE), 9);
+            for &(addr, _) in &BATCH[1..] {
+                if addr != 0 {
+                    assert_eq!(n.read_word(BATCH_BASE + addr), 0, "{kind:?} addr {addr}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strict_crash_loses_an_unfenced_batch_and_keeps_a_fenced_one() {
+        let before = dev();
+        before.apply_writes(BATCH_BASE, &BATCH);
+        before.crash();
+        assert!(image(&before).iter().all(|&w| w == 0));
+
+        let after = dev();
+        after.apply_writes(BATCH_BASE, &BATCH);
+        after.fence();
+        after.crash();
+        let expected = dev();
+        apply_per_word(&expected, BATCH_BASE, &BATCH);
+        assert_eq!(image(&after), image(&expected));
+        assert_eq!(after.volatile_word_count(), 0);
+    }
+
+    #[test]
+    fn write_words_counts_like_word_by_word_writes() {
+        let n = dev();
+        n.write_words(64, &[1, 2, 3]);
+        n.write_words(128, &[]);
+        let s = n.stats();
+        assert_eq!(s.words_written, 3);
+        assert_eq!(s.bytes_flushed, 0);
+        assert_eq!(n.persistence_events().writes, 3);
+        assert_eq!(n.volatile_word_count(), 3);
     }
 
     #[test]

@@ -366,8 +366,7 @@ mod tests {
         let mut h1 = NoHooks;
         // T1 begins at rv=0.
         let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
-        // Another transaction commits to word 512 (different stripe for most
-        // hashes; pick a word in a distinct stripe).
+        // Another transaction commits to a word in a distinct stripe.
         let other_addr = (0..1024u64)
             .step_by(8)
             .find(|&a| f.locks.stripe_of(a) != f.locks.stripe_of(0))

@@ -47,10 +47,10 @@ fn main() {
             dude.reproduced_id()
         );
         // Power failure! Everything not flushed+fenced is gone. The
-        // runtime is forgotten, not dropped — a dropped runtime would
+        // runtime is abandoned, not dropped — a dropped runtime would
         // drain its pipeline like a clean shutdown.
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
 
     // Phase 2: recover.

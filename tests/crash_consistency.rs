@@ -102,12 +102,12 @@ fn crash_round(seed: u64, mode: DurabilityMode) {
             std::thread::sleep(std::time::Duration::from_millis(20 + seed % 60));
             stop.store(1, Ordering::Relaxed);
         });
-        nvm.crash();
-        // Abandon the runtime without the clean-drain drop.
+        // Abandon the runtime without the clean-drain drop, then crash.
         match Arc::try_unwrap(dude) {
-            Ok(d) => std::mem::forget(d),
+            Ok(d) => d.abandon(),
             Err(_) => panic!("runtime still shared"),
         }
+        nvm.crash();
     }
 
     // Recover and verify.
@@ -173,18 +173,18 @@ fn double_crash_recovery_is_idempotent() {
             t.wait_durable(tid);
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude_a, report_a) = DudeTm::recover_stm(Arc::clone(&nvm), cfg).unwrap();
     let heap = dude_a.heap_region();
     let snapshot: Vec<u64> = (0..ACCOUNTS)
         .map(|i| nvm.read_word(heap.start() + slot(i).offset()))
         .collect();
-    // Crash again without any new work; drop via forget so the pipeline
-    // cannot checkpoint post-crash.
+    // Crash again without any new work; abandon rather than drop so the
+    // pipeline cannot checkpoint post-crash.
+    dude_a.abandon();
     nvm.crash();
-    std::mem::forget(dude_a);
     let (dude_b, report_b) = DudeTm::recover_stm(Arc::clone(&nvm), cfg).unwrap();
     assert_eq!(report_b.last_tid, report_a.last_tid);
     assert_eq!(report_b.replayed, 0, "second recovery replays nothing");
@@ -213,8 +213,8 @@ fn lenient_crash_still_consistent() {
             .expect_committed();
         }
         drop(t);
+        dude.abandon();
         nvm.crash_lenient();
-        std::mem::forget(dude);
     }
     let (dude2, _) = DudeTm::recover_stm(Arc::clone(&nvm), cfg).unwrap();
     let heap = dude2.heap_region();

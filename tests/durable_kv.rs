@@ -34,8 +34,8 @@ fn btree_contents_survive_crash() {
         }
         t.wait_durable(last);
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), cfg()).unwrap();
     assert_eq!(report.last_tid, n, "all acknowledged inserts recovered");
@@ -71,8 +71,8 @@ fn paged_shadow_recovers_from_nvm() {
         }
         t.wait_durable(last);
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     assert_eq!(report.last_tid, pages);
@@ -101,8 +101,8 @@ fn sync_mode_kv_survives_without_acks() {
                 .expect_committed();
         }
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config).unwrap();
     assert_eq!(report.last_tid, 100);

@@ -64,8 +64,8 @@ fn btree_removals_survive_crash() {
         }
         t.wait_durable(last);
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, _) = DudeTm::recover_stm(Arc::clone(&nvm), cfg()).unwrap();
     let mut t = dude2.register_thread();
@@ -118,8 +118,8 @@ fn hash_remove_crash_consistency_on_dudetm() {
         });
         t.wait_durable(out.info().unwrap().tid.unwrap());
         drop(t);
+        dude.abandon();
         nvm.crash();
-        std::mem::forget(dude);
     }
     let (dude2, _) = DudeTm::recover_stm(Arc::clone(&nvm), cfg()).unwrap();
     let mut t = dude2.register_thread();
